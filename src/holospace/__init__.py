@@ -31,7 +31,6 @@ from .operators import (
     build_DC_phi,
     build_differentiation,
     build_multiplication,
-    cross_norm,
     numerical_rank,
     operator_norm,
     singular_values,
@@ -76,7 +75,6 @@ __all__ = [
     "build_multiplication",
     "weighted_adjoint",
     "operator_norm",
-    "cross_norm",
     "singular_values",
     "spectrum",
     "spectral_summary",

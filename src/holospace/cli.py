@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -28,6 +25,7 @@ from .operators import build_D_phi, operator_norm, spectrum
 from .spaces import SpaceSpec, parse_space
 from .verify import (
     DEFAULT_SEED,
+    _collapse,
     check_adjoint_intertwine,
     check_adjoint_s2_compact,
     check_adjoint_s2tilde,
@@ -91,14 +89,6 @@ def _emit(text: str, out: str | None):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _collapse(values, tol: float) -> list:
-    out: list[complex] = []
-    for v in sorted(values, key=lambda z: (abs(z), np.angle(z))):
-        if not out or abs(v - out[-1]) > tol:
-            out.append(complex(v))
-    return out
-
-
 def _emit_report(report, args) -> int:
     if args.format == "json":
         _emit(report.to_json_line(), args.out)
@@ -148,8 +138,7 @@ def cmd_spectrum(args) -> int:
     sp = parse_space(args.space)
     n = args.trunc or DEFAULT_TRUNC
     eig = spectrum(build_D_phi(symbol, n, domain=sp))
-    tol = args.tol if args.tol is not None else 1e-9
-    distinct = _collapse(eig, tol)
+    distinct = _collapse(eig, args.tol)
     reference = None
     if isinstance(symbol, MonomialMap):
         reference = sorted(symbol.exact_spectrum(), key=abs)
@@ -209,17 +198,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_check(args) -> int:
-    raw = os.environ.get("HOLOSPACE_THREADS", "1") or "1"
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise PreconditionError(
-            f"HOLOSPACE_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise PreconditionError(
-            f"HOLOSPACE_THREADS must be at least 1, got {threads}")
-    reports = sorted(default_suite(seed=args.seed, threads=threads),
-                     key=lambda r: r.check_id)
+    reports = sorted(default_suite(seed=args.seed), key=lambda r: r.check_id)
     if args.format == "json":
         _emit(reports_to_json_lines(reports), args.out)
     else:
@@ -257,7 +236,6 @@ def cmd_info(args) -> int:
         "         poly:c0_re,c0_im,...",
         "",
         f"defaults: trunc = {DEFAULT_TRUNC}, seed = {DEFAULT_SEED:#x}",
-        "env: HOLOSPACE_THREADS caps parallel suite jobs",
         "exit codes: 0 ok, 1 check failed, 2 usage, 3 uncertified, 4 numerical",
     ]
     _emit("\n".join(lines), args.out)
@@ -267,6 +245,39 @@ def cmd_info(args) -> int:
 # -- parser -----------------------------------------------------------
 
 
+_FLAGS = {
+    "symbol": dict(required=True,
+                   help="symbol grammar string, e.g. monomial:0.3,0,2"),
+    "space": dict(default="s2", help="space spelling (default s2)"),
+    "trunc": dict(type=_trunc_arg, default=None,
+                  help="truncation degree in [8, 4096]"),
+    "tol": dict(type=_tol_arg, default=1e-9,
+                help="eigenvalue merge tolerance in (0, 1) (default 1e-9)"),
+    "alpha": dict(type=float, default=None,
+                  help="kernel exponent; overrides the space's own alpha"),
+    "seed": dict(type=_seed_arg, default=DEFAULT_SEED,
+                 help="seed for random trials (default 0x5EED)"),
+    "out": dict(default=None, help="output path (default stdout)"),
+    "format": dict(choices=["json", "table"], default="table"),
+}
+
+# (name, handler, help, flags honoured); nothing else is accepted
+_COMMANDS = (
+    ("norm", cmd_norm, "operator norm of f -> f'(phi)",
+     ("symbol", "space", "trunc", "out", "format")),
+    ("spectrum", cmd_spectrum, "eigenvalues of the truncation",
+     ("symbol", "space", "trunc", "tol", "out", "format")),
+    ("adjoint", cmd_adjoint, "adjoint identity check for the space",
+     ("symbol", "space", "trunc", "alpha", "seed", "out", "format")),
+    ("kernel", cmd_kernel, "validate reproducing kernels",
+     ("space", "trunc", "seed", "out", "format")),
+    ("check", cmd_check, "run the full verification suite",
+     ("seed", "out", "format")),
+    ("figure", cmd_figure, "norm curves CSV for monomial symbols", ("out",)),
+    ("info", cmd_info, "version, grammar, and defaults", ("out",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holospace",
@@ -274,55 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hardy spaces: norms, spectra, adjoints, checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, symbol=False, space=True, fmt_default="table"):
-        if symbol:
-            p.add_argument("--symbol", required=True,
-                           help="symbol grammar string, e.g. monomial:0.3,0,2")
-        if space:
-            p.add_argument("--space", default="s2",
-                           help="space spelling (default s2)")
-        p.add_argument("--trunc", type=_trunc_arg, default=None,
-                       help="truncation degree in [8, 4096]")
-        p.add_argument("--tol", type=_tol_arg, default=None,
-                       help="tolerance in (0, 1)")
-        p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED,
-                       help="seed for random trials (default 0x5EED)")
-        p.add_argument("--out", default=None,
-                       help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv", "table"],
-                       default=fmt_default)
-
-    p = sub.add_parser("norm", help="operator norm of f -> f'(phi)")
-    add_common(p, symbol=True)
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("spectrum", help="eigenvalues of the truncation")
-    add_common(p, symbol=True)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("adjoint", help="adjoint identity check for the space")
-    add_common(p, symbol=True)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="kernel exponent; overrides the space's own alpha")
-    p.set_defaults(func=cmd_adjoint)
-
-    p = sub.add_parser("kernel", help="validate reproducing kernels")
-    add_common(p)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("check", help="run the full verification suite")
-    add_common(p, space=False)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("figure", help="norm curves CSV for monomial symbols")
-    add_common(p, space=False, fmt_default="csv")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("info", help="version, grammar, and defaults")
-    add_common(p, space=False)
-    p.set_defaults(func=cmd_info)
-
+    for name, func, text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -13,7 +13,7 @@ the brute-force grid lives in the tests as an oracle.
 
 from __future__ import annotations
 
-import json
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,6 +43,8 @@ class MoebiusMap:
     def __post_init__(self):
         for name in "abcd":
             object.__setattr__(self, name, complex(getattr(self, name)))
+        if not all(cmath.isfinite(v) for v in (self.a, self.b, self.c, self.d)):
+            raise DomainError("non-finite moebius coefficient")
         if self.a * self.d - self.b * self.c == 0:
             raise DomainError("degenerate coefficients: ad - bc = 0")
 
@@ -59,7 +61,9 @@ class MoebiusMap:
         |ad - bc| / (|d|^2 - |c|^2); requires the pole -d/c outside the
         closed disk, i.e. |d| > |c|.
         """
-        denom = abs(self.d) ** 2 - abs(self.c) ** 2
+        # products, not float **, so huge coefficients overflow to inf or
+        # nan (which certification rejects) instead of raising
+        denom = abs(self.d) * abs(self.d) - abs(self.c) * abs(self.c)
         if denom <= 0:
             raise PoleInDiskError(
                 f"pole at -d/c with |d| = {abs(self.d)} <= |c| = {abs(self.c)}")
@@ -81,12 +85,13 @@ class MoebiusMap:
 
     def certify_self_map(self):
         s = self.sup_norm()
-        if s > 1.0 + SELF_MAP_TOL:
+        # negated so that a nan sup-norm fails, here and below
+        if not s <= 1.0 + SELF_MAP_TOL:
             raise CertificationError(f"sup-norm {s} exceeds 1", sup_norm=s)
 
     def certify_strict(self):
         s = self.sup_norm()
-        if s >= 1.0:
+        if not s < 1.0:
             raise CertificationError(f"sup-norm {s} is not < 1", sup_norm=s)
 
     # -- adjoint data ------------------------------------------------------
@@ -179,7 +184,10 @@ class MonomialMap:
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "power", int(self.power))
+        try:
+            object.__setattr__(self, "power", int(self.power))
+        except (OverflowError, ValueError):
+            raise DomainError(f"power {self.power!r} is not a finite integer") from None
         if not 0 < abs(self.a) < 1:
             raise DomainError(f"|a| = {abs(self.a)} outside (0, 1)")
         if self.power < 1:
@@ -258,6 +266,8 @@ class PolynomialMap:
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("polynomial symbol needs at least one coefficient")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("non-finite polynomial coefficient")
         self.coeffs = arr
         self.coeffs.setflags(write=False)
 
@@ -277,12 +287,12 @@ class PolynomialMap:
 
     def certify_self_map(self):
         s = self.sup_norm()
-        if s > 1.0 + SELF_MAP_TOL:
+        if not s <= 1.0 + SELF_MAP_TOL:
             raise CertificationError(f"grid sup-norm {s} exceeds 1", sup_norm=s)
 
     def certify_strict(self):
         s = self.sup_norm()
-        if s > 1.0 - GRID_MARGIN:
+        if not s <= 1.0 - GRID_MARGIN:
             raise CertificationError(
                 f"grid sup-norm {s} not below 1 - {GRID_MARGIN}", sup_norm=s)
 
@@ -324,6 +334,8 @@ def parse_symbol(text: str):
         nums = [float(x) for x in arg.split(",")] if arg else []
     except ValueError:
         raise DomainError(f"unparseable symbol numbers in {text!r}") from None
+    if not all(math.isfinite(x) for x in nums):
+        raise DomainError(f"non-finite symbol number in {text!r}")
     if kind == "moebius":
         if len(nums) != 8:
             raise DomainError("moebius symbol needs 8 numbers (4 complex pairs)")
@@ -344,10 +356,6 @@ def parse_symbol(text: str):
 def symbol_from_dict(data: dict):
     params = ",".join(f"{float(x):g}" for x in data["params"])
     return parse_symbol(f"{data['kind']}:{params}")
-
-
-def symbol_to_json(symbol) -> str:
-    return json.dumps(symbol.to_dict())
 
 
 def random_strict_moebius(rng: np.random.Generator,

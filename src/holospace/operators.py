@@ -14,8 +14,6 @@ top-left blocks for that reason.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +27,6 @@ from .errors import (
 from .maps import PolynomialMap
 from .series import TruncatedSeries
 from .spaces import SpaceSpec
-
-_HSOP_MAGIC = b"HSOP"
-_HSOP_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -81,48 +76,6 @@ class OpMatrix:
             raise UnsupportedOperationError("space tags differ under subtraction")
         return OpMatrix(self.entries - other.entries, self.domain,
                         self.codomain, f"{self.label}-{other.label}")
-
-    # -- export ----------------------------------------------------------
-
-    def to_csv(self, path):
-        """Row-major CSV; each cell is a quoted "re,im" pair."""
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh, quoting=csv.QUOTE_ALL)
-            for row in self.entries:
-                wr.writerow([f"{v.real:.17g},{v.imag:.17g}" for v in row])
-
-    def to_hsop(self, path):
-        """Compact binary fixture dump: magic, version byte, uint32 N,
-        then the complex64 entries, all little-endian."""
-        with open(path, "wb") as fh:
-            fh.write(_HSOP_MAGIC)
-            fh.write(struct.pack("<B", _HSOP_VERSION))
-            fh.write(struct.pack("<I", self.trunc_degree))
-            fh.write(self.entries.astype("<c8").tobytes())
-
-
-def read_csv_matrix(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            rows.append([complex(*map(float, cell.split(","))) for cell in row])
-    return np.array(rows, dtype=np.complex128)
-
-
-def read_hsop(path) -> tuple[int, np.ndarray]:
-    """Read a binary dump; returns (trunc_degree, entries as complex128)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _HSOP_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _HSOP_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(), dtype="<c8")
-    if data.size != (n + 1) ** 2:
-        raise ValueError(f"expected {(n + 1) ** 2} entries, got {data.size}")
-    return n, data.astype(np.complex128).reshape(n + 1, n + 1)
 
 
 # -- symbol plumbing --------------------------------------------------------
@@ -285,11 +238,6 @@ def operator_norm(a: OpMatrix) -> float:
     return float(singular_values(a)[0])
 
 
-def cross_norm(a: OpMatrix) -> float:
-    """operator_norm for domain != codomain; same weighted SVD."""
-    return operator_norm(a)
-
-
 def spectrum(a: OpMatrix) -> np.ndarray:
     """Eigenvalues of the raw matrix.
 
@@ -305,11 +253,16 @@ def spectrum(a: OpMatrix) -> np.ndarray:
             {"label": a.label, "n": a.trunc_degree, "reason": str(e)}) from e
 
 
-def numerical_rank(a: OpMatrix, tol: float) -> int:
-    s = singular_values(a)
+def rank_from_singular_values(s: np.ndarray, tol: float) -> int:
+    """Count of singular values above tol times the largest; s is
+    nonincreasing."""
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def numerical_rank(a: OpMatrix, tol: float) -> int:
+    return rank_from_singular_values(singular_values(a), tol)
 
 
 @dataclass(frozen=True)
@@ -333,11 +286,10 @@ class SpectralSummary:
 def spectral_summary(a: OpMatrix, rank_tol: float = 1e-10) -> SpectralSummary:
     s = singular_values(a)
     eig = spectrum(a)
-    rank = 0 if s[0] == 0 else int(np.count_nonzero(s > rank_tol * s[0]))
     return SpectralSummary(
         eigenvalues=tuple(complex(v) for v in eig),
         singular_values=tuple(float(v) for v in s),
-        numerical_rank=rank,
+        numerical_rank=rank_from_singular_values(s, rank_tol),
         trunc_degree=a.trunc_degree,
         rank_tol=rank_tol,
     )

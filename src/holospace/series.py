@@ -221,6 +221,7 @@ class TruncatedSeries:
         return {
             "trunc_degree": self.trunc_degree,
             "coeffs": [[float(c.real), float(c.imag)] for c in self._coeffs],
+            "top_dropped": self._top_dropped,
         }
 
     def to_json(self) -> str:
@@ -234,7 +235,8 @@ class TruncatedSeries:
             raise ValueError(
                 f"coeffs length {len(pairs)} does not match trunc_degree {n}"
             )
-        return cls([complex(re, im) for re, im in pairs])
+        return cls([complex(re, im) for re, im in pairs],
+                   bool(data.get("top_dropped", False)))
 
     @classmethod
     def from_json(cls, text: str) -> "TruncatedSeries":

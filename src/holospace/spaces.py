@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,11 +46,11 @@ class SpaceSpec:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown space kind {self.kind!r}")
         if self.kind == "bergman":
-            if self.alpha is None or self.alpha <= -1:
-                raise DomainError("bergman requires alpha > -1")
+            if self.alpha is None or not -1 < self.alpha < math.inf:
+                raise DomainError("bergman requires a finite alpha > -1")
         elif self.kind == "equiv":
-            if self.alpha is None:
-                raise DomainError("equiv requires a real alpha")
+            if self.alpha is None or not math.isfinite(self.alpha):
+                raise DomainError("equiv requires a finite real alpha")
         elif self.alpha is not None:
             raise DomainError(f"{self.kind} does not take an alpha")
 
@@ -206,8 +207,3 @@ def multiplier_g_alpha(phi0: complex, alpha: float, n: int) -> TruncatedSeries:
     c = np.zeros(n + 1, dtype=np.complex128)
     c[1:] = b.coeffs
     return TruncatedSeries(c)
-
-
-def multiplier_h_alpha(sigma0: complex, alpha: float, n: int) -> TruncatedSeries:
-    """z / (1 - conj(sigma0) z)^(alpha+3) to degree n, for |sigma0| < 1."""
-    return multiplier_g_alpha(sigma0, alpha, n)

@@ -4,10 +4,15 @@ main() returns the exit code instead of raising SystemExit, so every
 path (including argparse usage errors) is testable in process.
 """
 
+import io
 import json
 import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holospace.cli import main
 
@@ -208,13 +213,42 @@ def test_missing_symbol_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ("norm", "--symbol", "monomial:0.3,0,2", "--trunc", "5"),
     ("norm", "--symbol", "monomial:0.3,0,2", "--trunc", "5000"),
-    ("norm", "--symbol", "monomial:0.3,0,2", "--tol", "2"),
-    ("norm", "--symbol", "monomial:0.3,0,2", "--tol", "0"),
+    ("spectrum", "--symbol", "monomial:0.3,0,2", "--tol", "2"),
+    ("spectrum", "--symbol", "monomial:0.3,0,2", "--tol", "0"),
     ("norm", "--symbol", "garbage:1,2,3"),
     ("norm", "--symbol", "monomial:0.3,0,2", "--space", "nosuch"),
+    ("norm", "--symbol", "monomial:0.3,0,nan"),
+    ("norm", "--symbol", "monomial:0.3,0,inf"),
+    ("norm", "--symbol", "moebius:nan,0,0,0,0,0,1,0"),
+    ("norm", "--symbol", "poly:nan,0,0.1,0"),
+    # flags the subcommand does not honour
+    ("info", "--trunc", "9"),
+    ("figure", "--format", "json"),
+    ("check", "--trunc", "64"),
+    ("norm", "--symbol", "monomial:0.3,0,2", "--seed", "1"),
+    ("norm", "--symbol", "monomial:0.3,0,2", "--format", "csv"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
-    assert run(capsys, *argv)[0] == 2
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("norm", {"symbol", "space", "trunc", "out", "format"}),
+    ("spectrum", {"symbol", "space", "trunc", "tol", "out", "format"}),
+    ("adjoint", {"symbol", "space", "trunc", "alpha", "seed", "out", "format"}),
+    ("kernel", {"space", "trunc", "seed", "out", "format"}),
+    ("check", {"seed", "out", "format"}),
+    ("figure", {"out"}),
+    ("info", {"out"}),
+])
+def test_help_lists_exactly_the_honoured_flags(capsys, command, flags):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert set(re.findall(r"--([a-z]+)", out)) == flags | {"help"}
+    if "format" in flags:
+        assert "{json,table}" in out
 
 
 def test_unwritable_out_path_exits_2(capsys, tmp_path):
@@ -222,20 +256,6 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path):
                        "--out", str(tmp_path / "missing" / "x.json"))
     assert code == 2
     assert "cannot write output" in err
-
-
-def test_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("HOLOSPACE_THREADS", "banana")
-    code, _, err = run(capsys, "check")
-    assert code == 2
-    assert "HOLOSPACE_THREADS" in err
-
-
-def test_zero_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("HOLOSPACE_THREADS", "0")
-    code, _, err = run(capsys, "check")
-    assert code == 2
-    assert "at least 1" in err
 
 
 def test_non_self_map_exits_3(capsys):
@@ -266,3 +286,58 @@ def test_info(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# -- no input escapes main ----------------------------------------------
+
+_NUMBERS = ["0.3", "0", "-0.2", "2", "0.5", "1", "1e200", "nan", "inf",
+            "-inf", "x"]
+
+_SYMBOLS = st.one_of(
+    st.sampled_from([
+        "monomial:0.3,0,2", "monomial:0.8,0,1", "moebius:2,0,1,0,1,0,4,0",
+        "moebius:0.4,0,0.2,0,0,0,1,0", "poly:0.1,0,0.3,0",
+        "moebius:1,0,0.5,0,0,0,1,0", "moebius:0,0,1,0,1,0,0.5,0",
+        "monomial:0.3,0,nan", "monomial:0.3,0,inf",
+        "moebius:nan,0,0,0,0,0,1,0", "poly:nan,0,0.1,0",
+        "", ":", "poly:", "garbage:1,2", "monomial:a,b,2",
+    ]),
+    # every kind with any count of numbers, finite or not
+    st.builds(lambda kind, nums: f"{kind}:{','.join(nums)}",
+              st.sampled_from(["monomial", "moebius", "poly", "blaschke"]),
+              st.lists(st.sampled_from(_NUMBERS), max_size=9)),
+    st.text(max_size=12),
+)
+
+_TRUNCS = st.sampled_from(["8", "16", "32", "5", "5000", "x", "-1"])
+
+# honoured and out-of-range values, plus flags no drawn command honours
+_FLAGS = st.sampled_from([
+    ("--space", "s2"), ("--space", "hardy"), ("--space", "s2tilde"),
+    ("--space", "bergman:0"), ("--space", "equiv:-1.5"),
+    ("--space", "nosuch"), ("--space", "bergman"), ("--space", "bergman:-3"),
+    ("--space", "bergman:nan"), ("--space", "equiv:inf"),
+    ("--format", "json"), ("--format", "table"), ("--format", "csv"),
+    ("--tol", "0.5"), ("--tol", "0"), ("--tol", "2"), ("--tol", "nan"),
+    ("--seed", "7"), ("--seed", "0x5EED"), ("--seed", "-1"),
+    ("--out", "-"), ("--alpha", "0"),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["norm", "spectrum", "kernel", "info"]),
+       symbol=st.none() | _SYMBOLS,
+       trunc=st.none() | _TRUNCS,
+       flags=st.lists(_FLAGS, max_size=3))
+def test_no_cli_input_raises_out_of_main(command, symbol, trunc, flags):
+    argv = [command]
+    if symbol is not None:
+        argv += ["--symbol", symbol]
+    # norm without --trunc sizes the matrix from the symbol; keep it small
+    if trunc is not None or command == "norm":
+        argv += ["--trunc", trunc or "32"]
+    for flag, value in flags:
+        argv += [flag, value]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv

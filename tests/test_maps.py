@@ -323,9 +323,38 @@ def test_parse_symbol_roundtrips():
     assert np.array_equal(p2.coeffs, p.coeffs)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MoebiusMap(NAN, 0, 0, 1),
+    lambda: MoebiusMap(1, 0, 0, complex(2, INF)),
+    lambda: MonomialMap(complex(0.3, NAN), 2),
+    lambda: MonomialMap(0.3, NAN),
+    lambda: MonomialMap(0.3, INF),
+    lambda: PolynomialMap([NAN, 0.1]),
+    lambda: PolynomialMap([0.1, -INF]),
+])
+def test_non_finite_parameters_rejected(make):
+    # nan > 1 is False, so a nan parameter must be stopped before any
+    # sup-norm comparison can wave it through
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_overflowing_coefficients_fail_certification():
+    # finite coefficients whose sup-norm arithmetic overflows to nan
+    m = MoebiusMap(1e200, 0, 0, 1e200)
+    assert not m.is_strict()
+    with pytest.raises(CertificationError):
+        m.certify_self_map()
+
+
 def test_parse_symbol_errors():
     for bad in ("moebius:1,2,3", "monomial:0.5,0,1.5", "poly:", "poly:1",
-                "blaschke:1,2", "monomial:a,b,2"):
+                "blaschke:1,2", "monomial:a,b,2", "monomial:0.3,0,nan",
+                "monomial:0.3,0,inf", "moebius:nan,0,0,0,0,0,1,0",
+                "poly:nan,0,0.1,0", "poly:0.1,-inf"):
         with pytest.raises(DomainError):
             parse_symbol(bad)
 

@@ -1,4 +1,4 @@
-"""Builders, weighted adjoints, norms, spectra, and serialization of
+"""Builders, weighted adjoints, norms, spectra, and matrix algebra of
 operator matrices."""
 
 import numpy as np
@@ -19,11 +19,8 @@ from holospace.operators import (
     build_DC_phi,
     build_differentiation,
     build_multiplication,
-    cross_norm,
     numerical_rank,
     operator_norm,
-    read_csv_matrix,
-    read_hsop,
     singular_values,
     spectral_summary,
     spectrum,
@@ -289,7 +286,7 @@ def test_cross_norm_stable_for_dilation():
     for n in (64, 256):
         a = build_composition(MoebiusMap(1, 0, 0, 2), n,
                               domain=HARDY, codomain=S2)
-        vals[n] = cross_norm(a)
+        vals[n] = operator_norm(a)
     assert abs(vals[256] - vals[64]) / vals[64] < 0.01
 
 
@@ -297,7 +294,7 @@ def test_constant_symbol_composition_is_rank_one():
     a = build_composition(TruncatedSeries([0.3] + [0] * 16), 16,
                           domain=HARDY, codomain=S2)
     assert numerical_rank(a, 1e-12) == 1
-    assert np.isfinite(cross_norm(a))
+    assert np.isfinite(operator_norm(a))
 
 
 def test_numerical_rank_zero_matrix():
@@ -318,7 +315,7 @@ def test_spectral_summary_consistency():
 
 
 # ---------------------------------------------------------------------
-# Matrix algebra plumbing and serialization
+# Matrix algebra plumbing
 # ---------------------------------------------------------------------
 
 
@@ -335,32 +332,6 @@ def test_apply_degree_mismatch():
     a = build_differentiation(8)
     with pytest.raises(DegreeMismatchError):
         a.apply(TruncatedSeries.one(9))
-
-
-def test_csv_roundtrip(tmp_path):
-    m = MoebiusMap(2, 1, 1, 4)
-    a = build_D_phi(m, 6)
-    path = tmp_path / "m.csv"
-    a.to_csv(path)
-    back = read_csv_matrix(path)
-    np.testing.assert_allclose(back, a.entries, rtol=1e-15)
-
-
-def test_hsop_roundtrip(tmp_path):
-    a = build_D_phi(MoebiusMap(2, 1, 1, 4), 6)
-    path = tmp_path / "m.hsop"
-    a.to_hsop(path)
-    n, back = read_hsop(path)
-    assert n == 6
-    # complex64 storage: single precision accuracy
-    np.testing.assert_allclose(back, a.entries, rtol=1e-6, atol=1e-7)
-
-
-def test_hsop_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.hsop"
-    path.write_bytes(b"NOPE" + bytes(20))
-    with pytest.raises(ValueError):
-        read_hsop(path)
 
 
 def test_entries_read_only():

@@ -367,6 +367,14 @@ def test_json_roundtrip():
     parsed = json.loads(f.to_json())
     assert parsed["trunc_degree"] == 2
     assert parsed["coeffs"][1] == [0.0, -2.0]
+    assert not back.top_dropped
+    d = TruncatedSeries([1, 2, 3]).derivative()
+    back = TruncatedSeries.from_dict(d.to_dict())
+    assert back.top_dropped
+    assert np.array_equal(back.coeffs, d.coeffs)
+    # dicts written without the flag still load, unflagged
+    legacy = {"trunc_degree": 1, "coeffs": [[1, 0], [2, 0]]}
+    assert not TruncatedSeries.from_dict(legacy).top_dropped
 
 
 def test_json_length_mismatch_rejected():

@@ -14,7 +14,6 @@ from holospace.spaces import (
     inner_product,
     kernel,
     multiplier_g_alpha,
-    multiplier_h_alpha,
     norm,
     parse_space,
 )
@@ -237,8 +236,6 @@ def test_multiplier_at_origin_is_z():
     for alpha in (-2.0, -1.0, 0.0, 3.0):
         g = multiplier_g_alpha(0.0, alpha, 6)
         assert np.array_equal(g.coeffs, TruncatedSeries.z(6).coeffs)
-    h = multiplier_h_alpha(0.0, 0.0, 6)
-    assert np.array_equal(h.coeffs, TruncatedSeries.z(6).coeffs)
 
 
 # ---------------------------------------------------------------------
@@ -258,6 +255,13 @@ def test_bergman_alpha_at_or_below_minus_one_rejected():
         SpaceSpec.bergman(-1.0)
     with pytest.raises(DomainError):
         SpaceSpec("bergman")
+
+
+@pytest.mark.parametrize("spelling", ["bergman:nan", "bergman:inf",
+                                      "equiv:nan", "equiv:-inf"])
+def test_non_finite_alpha_rejected(spelling):
+    with pytest.raises(DomainError):
+        parse_space(spelling)
 
 
 def test_parse_space_spellings():

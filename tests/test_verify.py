@@ -221,6 +221,14 @@ def test_kernels_pass_everywhere(sp):
     assert r.passed, (sp.spelling(), r.computed)
 
 
+def test_s2_derivative_kernel_norm_is_at_rounding_level():
+    # compared with the exact geometric partial sum, not the full-series
+    # closed form, so the part sits far below its tolerance
+    r = check_kernels(SpaceSpec.s2())
+    assert r.computed["parts"]["deriv_kernel_norm_identity"] < 0.01
+    assert "partial sum" in r.note
+
+
 def test_kernels_requires_enough_trials():
     with pytest.raises(PreconditionError):
         check_kernels(SpaceSpec.s2(), trials=3)
@@ -261,12 +269,6 @@ def test_default_suite_all_pass():
 def test_default_suite_is_deterministic():
     a = default_suite(quick=True)
     b = default_suite(quick=True)
-    assert _strip_runtime(a) == _strip_runtime(b)
-
-
-def test_default_suite_threaded_matches_serial():
-    a = default_suite(quick=True)
-    b = default_suite(quick=True, threads=4)
     assert _strip_runtime(a) == _strip_runtime(b)
 
 
