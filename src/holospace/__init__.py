@@ -31,10 +31,8 @@ from .operators import (
     build_DC_phi,
     build_differentiation,
     build_multiplication,
-    numerical_rank,
     operator_norm,
     singular_values,
-    spectral_summary,
     spectrum,
     weighted_adjoint,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "operator_norm",
     "singular_values",
     "spectrum",
-    "spectral_summary",
-    "numerical_rank",
     "CheckReport",
     "default_suite",
     "HolospaceError",

@@ -36,6 +36,7 @@ from .verify import (
 )
 
 DEFAULT_TRUNC = 64
+MAX_TRUNC = 4096
 
 FIGURE_POWERS = (1, 2, 3)
 FIGURE_STEPS = 189  # |a| = 0.01 (0.005) 0.95
@@ -56,8 +57,8 @@ def _trunc_arg(text: str) -> int:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"trunc must be an integer, got {text!r}")
-    if not 8 <= n <= 4096:
-        raise argparse.ArgumentTypeError(f"trunc must lie in [8, 4096], got {n}")
+    if not 8 <= n <= MAX_TRUNC:
+        raise argparse.ArgumentTypeError(f"trunc must lie in [8, {MAX_TRUNC}], got {n}")
     return n
 
 
@@ -111,6 +112,10 @@ def cmd_norm(args) -> int:
         n = DEFAULT_TRUNC
         if isinstance(symbol, MonomialMap):
             n = max(n, symbol.required_trunc_degree())
+        if n > MAX_TRUNC:
+            raise PreconditionError(
+                f"an exact norm for {symbol.spelling()} needs trunc {n}, "
+                f"above the limit {MAX_TRUNC}; pass --trunc to choose one")
     val = operator_norm(build_D_phi(symbol, n, domain=sp))
     payload = {
         "command": "norm",

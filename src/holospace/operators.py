@@ -5,11 +5,20 @@ z^i coefficient of the operator applied to z^j.  Weights enter at a
 single similarity point inside norm, singular value, and adjoint
 routines, never inside the builders.
 
-Truncation policy: every builder computes its columns from exactly
-truncated series, so each stored entry equals the true infinite-matrix
-entry.  Products of truncations are then exact wherever a triangular
-factor confines the contamination; theorem-level checks compare
-top-left blocks for that reason.
+Truncation policy: the composition, D_phi and DC_phi builders read
+their columns off one power table P[:, j] = phi^j, exact through its
+last row, so each stored entry equals the true infinite-matrix entry.
+With phi = num/den (coefficients from degree 0 up), each column solves
+den * P[:, j] = num * P[:, j-1] by a short convolution and, for the
+Moebius den, a lower-bidiagonal solve.
+
+    Moebius (az + b)/(cz + d)     num = (b, a)           den = (d, c)
+    monomial a z^M                num = a z^M            den = 1
+    polynomial, bare series       num = coefficients     den = 1
+
+Products of truncations are then exact wherever a triangular factor
+confines the contamination; theorem-level checks compare top-left
+blocks for that reason.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ztbsv
 
 from .errors import (
     DegreeMismatchError,
@@ -24,9 +34,13 @@ from .errors import (
     PreconditionError,
     UnsupportedOperationError,
 )
-from .maps import PolynomialMap
+from .maps import MoebiusMap, PolynomialMap
 from .series import TruncatedSeries
 from .spaces import SpaceSpec
+
+#: largest truncation degree whose norm is read off the full SVD; above
+#: it Lanczos computes sigma_1 alone (crossover sweep in CHANGES.md)
+FULL_SVD_MAX_DEGREE = 768
 
 
 @dataclass(frozen=True)
@@ -81,31 +95,42 @@ class OpMatrix:
 # -- symbol plumbing --------------------------------------------------------
 
 
-def _symbol_series(symbol, n: int, strict: bool = False) -> TruncatedSeries:
-    """Certify a symbol and return its series at exactly degree n.
-
-    Accepts the map classes (which carry their own certification) or a
-    bare TruncatedSeries, certified by polynomial grid search on its
-    coefficients.
-    """
-    if isinstance(symbol, TruncatedSeries):
-        if symbol.trunc_degree < n:
-            raise PreconditionError(
-                f"symbol series has degree {symbol.trunc_degree}, need >= {n}")
-        p = PolynomialMap(symbol.coeffs)
-        p.certify_strict() if strict else p.certify_self_map()
-        return symbol.truncate(n)
-    if strict:
-        symbol.certify_strict()
-    else:
-        symbol.certify_self_map()
-    return symbol.series(n)
-
-
 def _label_of(symbol) -> str:
     if isinstance(symbol, TruncatedSeries):
         return "series"
     return symbol.spelling()
+
+
+def _power_table(symbol, out: np.ndarray) -> None:
+    """Certify a symbol, then write phi^j into column j of out, exact
+    through degree rows - 1, by the recurrence of the module docstring.
+
+    A bare series is certified by polynomial grid search on its
+    coefficients.  Trailing zeros are cut from num.
+    """
+    rows, cols = out.shape
+    band = None
+    if isinstance(symbol, TruncatedSeries):
+        if symbol.trunc_degree < rows - 1:
+            raise PreconditionError(
+                f"symbol series has degree {symbol.trunc_degree}, need >= {rows - 1}")
+        PolynomialMap(symbol.coeffs).certify_self_map()
+        num = symbol.coeffs[:rows]
+    else:
+        symbol.certify_self_map()
+        if isinstance(symbol, MoebiusMap):
+            num = np.array([symbol.b, symbol.a])
+            band = np.asfortranarray(np.outer([symbol.d, symbol.c], np.ones(rows)))
+        else:
+            num = symbol.series(rows - 1).coeffs
+    num = num[: max(np.flatnonzero(num), default=0) + 1]
+    col = np.zeros(rows, dtype=np.complex128)
+    col[0] = 1.0
+    for j in range(cols):
+        out[:, j] = col
+        col = np.convolve(num, col)[:rows]
+        if band is not None:
+            col = ztbsv(1, band, col, lower=1, overwrite_x=1)
 
 
 # -- builders ---------------------------------------------------------------
@@ -117,13 +142,8 @@ def build_composition(symbol, n: int,
     """Matrix of f -> f(phi): column j holds the coefficients of phi^j."""
     domain = domain or SpaceSpec.s2()
     codomain = codomain or domain
-    phi = _symbol_series(symbol, n)
-    a = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    a[0, 0] = 1.0
-    power = TruncatedSeries.one(n)
-    for j in range(1, n + 1):
-        power = power * phi
-        a[:, j] = power.coeffs
+    a = np.empty((n + 1, n + 1), dtype=np.complex128)
+    _power_table(symbol, a)
     return OpMatrix(a, domain, codomain, f"compose({_label_of(symbol)})")
 
 
@@ -145,14 +165,9 @@ def build_D_phi(symbol, n: int,
     """Matrix of f -> f'(phi): column j holds j * phi^(j-1)."""
     domain = domain or SpaceSpec.s2()
     codomain = codomain or domain
-    phi = _symbol_series(symbol, n)
     a = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    power = TruncatedSeries.one(n)
-    if n >= 1:
-        a[0, 1] = 1.0
-    for j in range(2, n + 1):
-        power = power * phi
-        a[:, j] = j * power.coeffs
+    _power_table(symbol, a[:, 1:])
+    a[:, 1:] *= np.arange(1, n + 1)
     return OpMatrix(a, domain, codomain, f"diff-compose({_label_of(symbol)})")
 
 
@@ -161,26 +176,15 @@ def build_DC_phi(symbol, n: int,
                  codomain: SpaceSpec | None = None) -> OpMatrix:
     """Matrix of f -> (f(phi))' = f'(phi) phi'.
 
-    Exactness of row n needs the degree-(n+1) coefficient of phi, so a
-    bare series symbol must come in at trunc degree >= n + 1.
+    Column j is (phi^j)', read off a power table with one extra row, so
+    a bare series symbol must come in at trunc degree >= n + 1.
     """
     domain = domain or SpaceSpec.s2()
     codomain = codomain or domain
-    if isinstance(symbol, TruncatedSeries) and symbol.trunc_degree < n + 1:
-        raise PreconditionError(
-            f"(f(phi))' at truncation {n} needs the symbol to degree {n + 1}")
-    ext = _symbol_series(symbol, n + 1)
-    phi = ext.truncate(n)
-    # derivative of the degree-(n+1) series is exact through degree n
-    dcoeffs = ext.coeffs[1:] * np.arange(1, n + 2)
-    phip = TruncatedSeries(dcoeffs)
-    a = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    power = TruncatedSeries.one(n)
-    for j in range(1, n + 1):
-        col = power * phip
-        a[:, j] = j * col.coeffs
-        power = power * phi
-    return OpMatrix(a, domain, codomain, f"compose-diff({_label_of(symbol)})")
+    p = np.empty((n + 2, n + 1), dtype=np.complex128)
+    _power_table(symbol, p)
+    p[1:] *= np.arange(1, n + 2)[:, None]
+    return OpMatrix(p[1:], domain, codomain, f"compose-diff({_label_of(symbol)})")
 
 
 def build_multiplication(psi: TruncatedSeries, n: int,
@@ -220,7 +224,8 @@ def _weighted(a: OpMatrix) -> np.ndarray:
     """B_cod A B_dom^(-1): the matrix of A between the weighted l2 spaces."""
     bd = a.domain.weights(a.trunc_degree)
     bc = a.codomain.weights(a.trunc_degree)
-    return (a.entries * bc[:, None]) / bd[None, :]
+    w = a.entries * bc[:, None]
+    return np.divide(w, bd[None, :], out=w)
 
 
 def singular_values(a: OpMatrix) -> np.ndarray:
@@ -234,8 +239,33 @@ def singular_values(a: OpMatrix) -> np.ndarray:
 
 
 def operator_norm(a: OpMatrix) -> float:
-    """Largest singular value of the weighted matrix."""
-    return float(singular_values(a)[0])
+    """Largest singular value of the weighted matrix.
+
+    Up to FULL_SVD_MAX_DEGREE it is the head of the full SVD.  Above it,
+    ARPACK's Lanczos iteration (svds, k=1) computes sigma_1 alone, from a
+    fixed start vector so that repeated calls agree bit for bit.
+    """
+    if a.trunc_degree <= FULL_SVD_MAX_DEGREE:
+        return float(singular_values(a)[0])
+    from scipy.sparse.linalg import ArpackError, LinearOperator, svds
+
+    w = _weighted(a)
+    info = {"label": a.label, "n": a.trunc_degree}
+    if not np.all(np.isfinite(w)):
+        raise NumericalFailureError("weighted matrix is not finite", info)
+    if not w.any():
+        return 0.0
+    v0 = np.random.default_rng(0).standard_normal(w.shape[0])
+    try:
+        # rmatvec as conj(conj(x) w) spares svds an adjoint copy of w
+        op = LinearOperator(w.shape, matvec=w.dot, dtype=w.dtype,
+                            rmatvec=lambda x: (x.conj() @ w).conj())
+        s = svds(op, k=1, v0=v0, return_singular_vectors=False)
+    except ArpackError as e:
+        raise NumericalFailureError(
+            "Lanczos iteration for sigma_1 did not converge",
+            {**info, "reason": str(e)}) from e
+    return float(s[0])
 
 
 def spectrum(a: OpMatrix) -> np.ndarray:
@@ -259,37 +289,3 @@ def rank_from_singular_values(s: np.ndarray, tol: float) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-def numerical_rank(a: OpMatrix, tol: float) -> int:
-    return rank_from_singular_values(singular_values(a), tol)
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    eigenvalues: tuple
-    singular_values: tuple
-    numerical_rank: int
-    trunc_degree: int
-    rank_tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [[v.real, v.imag] for v in self.eigenvalues],
-            "singular_values": list(self.singular_values),
-            "numerical_rank": self.numerical_rank,
-            "trunc_degree": self.trunc_degree,
-            "rank_tol": self.rank_tol,
-        }
-
-
-def spectral_summary(a: OpMatrix, rank_tol: float = 1e-10) -> SpectralSummary:
-    s = singular_values(a)
-    eig = spectrum(a)
-    return SpectralSummary(
-        eigenvalues=tuple(complex(v) for v in eig),
-        singular_values=tuple(float(v) for v in s),
-        numerical_rank=rank_from_singular_values(s, rank_tol),
-        trunc_degree=a.trunc_degree,
-        rank_tol=rank_tol,
-    )

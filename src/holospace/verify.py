@@ -27,6 +27,7 @@ import numpy as np
 from .errors import PreconditionError, UnsupportedOperationError
 from .maps import MoebiusMap, MonomialMap, random_strict_moebius
 from .operators import (
+    _label_of,
     build_composition,
     build_D_phi,
     build_DC_phi,
@@ -110,11 +111,16 @@ def _pair(z) -> list:
     return [z.real, z.imag]
 
 
+def _worst(*values) -> float:
+    """Largest of values, nan if any is; the builtin max may drop a nan."""
+    return float(np.max(values))
+
+
 def _hausdorff(pts_a, pts_b) -> float:
     a = np.asarray(list(pts_a), dtype=complex).ravel()
     b = np.asarray(list(pts_b), dtype=complex).ravel()
     d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return _worst(d.min(axis=1).max(), d.min(axis=0).max())
 
 
 def _collapse(values, tol=1e-9) -> list:
@@ -341,7 +347,7 @@ def check_adjoint_s2tilde(m: MoebiusMap, trunc: int = 128, trials: int = 10,
         w = _random_point(rng, 0.8)
         got = resid.apply(kernel(sp, KernelKind.POINT_EVAL, w, trunc))
         want = -np.conj(w) * (z_log_mu + m.log_eta_conj_at(w) * z1)
-        worst = max(worst, float(np.max(np.abs(got.coeffs - want.coeffs))))
+        worst = _worst(worst, np.max(np.abs(got.coeffs - want.coeffs)))
     parts["kernel_action"] = worst / 1e-10
 
     return _finish(
@@ -355,7 +361,7 @@ def check_adjoint_s2tilde(m: MoebiusMap, trunc: int = 128, trials: int = 10,
                   "block_size": k,
                   "parts": {key: float(v) for key, v in parts.items()}},
         reference={"expected_rank": expected_rank},
-        discrepancy=max(parts.values()),
+        discrepancy=_worst(*parts.values()),
         tolerance=1.0,
         trunc=trunc,
         started=started,
@@ -427,7 +433,7 @@ def check_adjoint_s2_compact(m: MoebiusMap,
                                for n in truncs},
                   "parts": parts},
         reference={"decay_bound": 1e-3, "drift_bound": 0.05},
-        discrepancy=max(parts.values()),
+        discrepancy=_worst(*parts.values()),
         tolerance=1.0,
         trunc=n_hi,
         started=started,
@@ -467,13 +473,9 @@ def check_bounded_trio(symbol, truncs=(64, 128, 256)) -> CheckReport:
     # a constant symbol makes DC_phi the zero operator; zero norms at
     # every truncation count as perfectly stable, not as 0/0
     drifts = {k: abs(hi[k] - lo[k]) / max(lo[k], 1e-300) for k in hi}
-    worst = max(drifts.values())
-    try:
-        label = symbol.spelling()
-    except AttributeError:
-        label = "series"
+    worst = _worst(*drifts.values())
     return _finish(
-        check_id=f"bounded-trio[{label}]",
+        check_id=f"bounded-trio[{_label_of(symbol)}]",
         claim="the three companion operators are bounded together: each "
               "truncated norm stabilizes as the truncation grows",
         computed={"norms": table, "drifts": drifts},
@@ -506,9 +508,9 @@ def check_kernels(sp: SpaceSpec, trials: int = 10, trunc: int = 64,
         w = _random_point(rng, 0.8)
         kp = kernel(sp, KernelKind.POINT_EVAL, w, trunc)
         kd = kernel(sp, KernelKind.DERIV_EVAL, w, trunc)
-        worst_point = max(worst_point, abs(inner_product(f, kp, sp) - f(w)))
-        worst_deriv = max(worst_deriv,
-                          abs(inner_product(f, kd, sp) - f.derivative()(w)))
+        worst_point = _worst(worst_point, abs(inner_product(f, kp, sp) - f(w)))
+        worst_deriv = _worst(worst_deriv,
+                             abs(inner_product(f, kd, sp) - f.derivative()(w)))
     parts["point_eval"] = worst_point / 1e-12
     parts["deriv_eval"] = worst_deriv / 1e-12
 
@@ -523,7 +525,7 @@ def check_kernels(sp: SpaceSpec, trials: int = 10, trunc: int = 64,
             got = inner_product(kd, kd, sp).real
             r2 = abs(w) ** 2
             want = (1.0 - r2 ** trunc) / (1.0 - r2)
-            worst = max(worst, abs(got - want) / want)
+            worst = _worst(worst, abs(got - want) / want)
         parts["deriv_kernel_norm_identity"] = worst / 1e-12
 
     if sp.kind == "s2tilde":
@@ -541,7 +543,7 @@ def check_kernels(sp: SpaceSpec, trials: int = 10, trunc: int = 64,
                                - point_closed.coeffs))
             dd = np.max(np.abs(kernel(sp, KernelKind.DERIV_EVAL, w, trunc).coeffs
                                - deriv_closed.coeffs))
-            worst = max(worst, float(dp), float(dd))
+            worst = _worst(worst, dp, dd)
         parts["closed_forms"] = worst / 1e-12
 
     return _finish(
@@ -551,7 +553,7 @@ def check_kernels(sp: SpaceSpec, trials: int = 10, trunc: int = 64,
               "generic weighted coefficients",
         computed={"parts": {k: float(v) for k, v in parts.items()}},
         reference={"per_part_tolerance": "normalized to 1.0"},
-        discrepancy=max(parts.values()),
+        discrepancy=_worst(*parts.values()),
         tolerance=1.0,
         trunc=trunc,
         started=started,
@@ -608,7 +610,7 @@ def check_factorization(m: MoebiusMap, trials: int = 20, trunc: int = 16,
         want = np.zeros(trunc + 1, dtype=complex)
         want[0] = 1.0
         want[1] = -np.conj(m(w))
-        worst = max(worst, float(np.max(np.abs(got.coeffs - want))))
+        worst = _worst(worst, np.max(np.abs(got.coeffs - want)))
     return _finish(
         check_id=f"factorization[{m.spelling()}]",
         claim="1 - conj(phi(w)) z factors as mu(z) (1 - conj(w) sigma(z)) "

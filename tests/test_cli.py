@@ -10,6 +10,7 @@ import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,20 @@ def test_norm_writes_to_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     json.loads(target.read_text())
+
+
+def test_norm_auto_trunc_above_limit_exits_2(capsys, monkeypatch):
+    # monomial:0.9999,0,3 needs N = 30002; refuse before building anything
+    import holospace.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("no matrix may be built")
+
+    monkeypatch.setattr(cli, "build_D_phi", no_build)
+    code, out, err = run(capsys, "norm", "--symbol", "monomial:0.9999,0,3")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "30002" in err and "--trunc" in err
 
 
 # -- spectrum ----------------------------------------------------------
@@ -129,6 +144,18 @@ def test_kernel_subcommand(capsys, space):
     code, out, _ = run(capsys, "kernel", "--space", space, "--trunc", "48")
     assert code == 0
     assert "pass" in out
+
+
+def test_kernel_nan_pairings_fail_closed(capsys):
+    # equiv:-300 overflows the weights, so every inner product is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "kernel", "--space", "equiv:-300",
+                             "--trunc", "64", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert math.isnan(payload["discrepancy"])
+    assert "check failed" in err
 
 
 # -- check ------------------------------------------------------------

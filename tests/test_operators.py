@@ -1,28 +1,38 @@
 """Builders, weighted adjoints, norms, spectra, and matrix algebra of
 operator matrices."""
 
+import cmath
+
+import mpmath
 import numpy as np
 import pytest
 
 from holospace import (
     CertificationError,
     DegreeMismatchError,
+    NumericalFailureError,
     PreconditionError,
     TruncatedSeries,
     UnsupportedOperationError,
 )
-from holospace.maps import MoebiusMap, MonomialMap, random_strict_moebius
+import holospace.operators as operators
+from holospace.maps import (
+    MoebiusMap,
+    MonomialMap,
+    PolynomialMap,
+    random_strict_moebius,
+)
 from holospace.operators import (
+    FULL_SVD_MAX_DEGREE,
     OpMatrix,
     build_composition,
     build_D_phi,
     build_DC_phi,
     build_differentiation,
     build_multiplication,
-    numerical_rank,
     operator_norm,
+    rank_from_singular_values,
     singular_values,
-    spectral_summary,
     spectrum,
     weighted_adjoint,
 )
@@ -154,6 +164,130 @@ def test_builders_reject_uncertified_symbols():
         build_composition(TruncatedSeries([0, 1.5, 0, 0]), 3)
     with pytest.raises(PreconditionError):
         build_composition(TruncatedSeries([0, 0.5]), 8)
+
+
+# ---------------------------------------------------------------------
+# Power table against a 50-digit oracle
+# ---------------------------------------------------------------------
+
+
+def _strict_moebius(pole: float) -> MoebiusMap:
+    """w0 + A (z - p)/(1 - conj(p) z) with |p| = pole and sup-norm 0.7,
+    the construction of random_strict_moebius."""
+    amp = 0.3 * cmath.exp(0.7j)
+    w0 = 0.4 * cmath.exp(2.1j)
+    p = pole * cmath.exp(1.3j)
+    return MoebiusMap(amp - w0 * p.conjugate(), w0 - amp * p,
+                      -p.conjugate(), 1.0)
+
+
+def _mp_powers(m: MoebiusMap, rows: int, cols: int) -> list:
+    """P[k][j] = z^k coefficient of phi^j at 50 digits, from
+    (c z + d) phi^j = (a z + b) phi^(j-1) solved for the z^k coefficient."""
+    with mpmath.workdps(50):
+        a, b, c, d = (mpmath.mpc(v) for v in (m.a, m.b, m.c, m.d))
+        p = [[mpmath.mpc(0)] * cols for _ in range(rows)]
+        p[0][0] = mpmath.mpc(1)
+        for j in range(1, cols):
+            for k in range(rows):
+                acc = b * p[k][j - 1]
+                if k:
+                    acc += a * p[k - 1][j - 1] - c * p[k - 1][j]
+                p[k][j] = acc / d
+        return [[complex(v) for v in row] for row in p]
+
+
+def _column_relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    scale = np.abs(want).max(axis=0)
+    assert np.all(got[:, scale == 0] == 0)
+    live = scale > 0
+    return float((np.abs(got - want)[:, live].max(axis=0) / scale[live]).max())
+
+
+@pytest.mark.parametrize("pole", [0.3, 0.45, 0.65])
+def test_builders_match_mpmath_power_table(pole):
+    # one symbol per |p| band of the large-N benchmark; |p| decides how
+    # deep the coefficients of phi^j fall
+    m = _strict_moebius(pole)
+    assert m.is_strict()
+    n = 96
+    p = np.array(_mp_powers(m, n + 2, n + 1))
+    # the first column of the oracle is the closed-form Taylor series of
+    # (az + b)/(cz + d), which pins the num/den order independently
+    k = np.arange(1, n + 2)
+    taylor = (m.a * m.d - m.b * m.c) * (-m.c) ** (k - 1) / m.d ** (k + 1)
+    np.testing.assert_allclose(p[1:, 1], taylor, rtol=1e-14)
+    assert p[0, 1] == pytest.approx(m.b / m.d, rel=1e-15)
+
+    want_c = p[: n + 1]
+    want_d = np.zeros((n + 1, n + 1), dtype=complex)
+    want_d[:, 1:] = p[: n + 1, :n] * np.arange(1, n + 1)
+    want_dc = p[1:] * np.arange(1, n + 2)[:, None]
+    for got, want in ((build_composition(m, n).entries, want_c),
+                      (build_D_phi(m, n).entries, want_d),
+                      (build_DC_phi(m, n).entries, want_dc)):
+        assert _column_relative_error(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("a,power", [(0.7 - 0.4j, 1), (0.93 + 0.1j, 2),
+                                     (-0.5 + 0.77j, 3)])
+def test_monomial_power_table_is_exact(a, power):
+    # phi = a z^M: P[M j, j] = a^j, every other entry exactly zero
+    n = 96
+    got = build_composition(MonomialMap(a, power), n).entries
+    want = np.zeros((n + 1, n + 1), dtype=complex)
+    value = 1 + 0j
+    for j in range(n + 1):
+        if power * j <= n:
+            want[power * j, j] = value
+        value *= a
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------
+# Norms on both sides of the full-SVD / Lanczos crossover
+# ---------------------------------------------------------------------
+
+
+def _svd_norm(a: OpMatrix) -> float:
+    return float(np.linalg.svd(operators._weighted(a), compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("n", [FULL_SVD_MAX_DEGREE // 8,
+                               FULL_SVD_MAX_DEGREE + 1])
+def test_operator_norm_matches_full_svd(n):
+    m = _strict_moebius(0.45)
+    cases = [build_D_phi(m, n, domain=S2),
+             build_composition(MonomialMap(0.6 + 0.3j, 2), n,
+                               domain=HARDY, codomain=S2)]
+    for a in cases:
+        want = _svd_norm(a)
+        assert abs(operator_norm(a) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [FULL_SVD_MAX_DEGREE // 8,
+                               FULL_SVD_MAX_DEGREE + 1])
+def test_operator_norm_tied_and_zero(n):
+    # phi = z/2: DC_phi has singular values j / 2^j, so sigma_1 = sigma_2
+    tied = build_DC_phi(MoebiusMap(1, 0, 0, 2), n, domain=HARDY)
+    assert abs(operator_norm(tied) - 0.5) <= 1e-12 * 0.5
+    # a constant symbol makes DC_phi the zero operator
+    zero = build_DC_phi(PolynomialMap([0.3]), n, domain=HARDY)
+    assert operator_norm(zero) == 0.0
+
+
+def test_operator_norm_above_crossover_is_repeatable():
+    a = build_DC_phi(_strict_moebius(0.3), FULL_SVD_MAX_DEGREE + 1,
+                     domain=HARDY)
+    assert operator_norm(a) == operator_norm(a)
+
+
+def test_operator_norm_above_crossover_rejects_non_finite_weights():
+    a = build_D_phi(MonomialMap(0.5, 1), FULL_SVD_MAX_DEGREE + 1,
+                    domain=SpaceSpec.equivalent_weight(-300))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailureError):
+        operator_norm(a)
 
 
 # ---------------------------------------------------------------------
@@ -293,25 +427,13 @@ def test_cross_norm_stable_for_dilation():
 def test_constant_symbol_composition_is_rank_one():
     a = build_composition(TruncatedSeries([0.3] + [0] * 16), 16,
                           domain=HARDY, codomain=S2)
-    assert numerical_rank(a, 1e-12) == 1
+    assert rank_from_singular_values(singular_values(a), 1e-12) == 1
     assert np.isfinite(operator_norm(a))
 
 
 def test_numerical_rank_zero_matrix():
     a = OpMatrix(np.zeros((5, 5)), S2, S2, "null")
-    assert numerical_rank(a, 1e-10) == 0
-
-
-def test_spectral_summary_consistency():
-    a = build_D_phi(MonomialMap(0.3, 2), 16, domain=S2)
-    summ = spectral_summary(a, rank_tol=1e-10)
-    assert summ.trunc_degree == 16
-    assert summ.numerical_rank == numerical_rank(a, 1e-10)
-    s = np.array(summ.singular_values)
-    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-    d = summ.to_dict()
-    assert d["rank_tol"] == 1e-10
-    assert len(d["eigenvalues"]) == 17
+    assert rank_from_singular_values(singular_values(a), 1e-10) == 0
 
 
 # ---------------------------------------------------------------------

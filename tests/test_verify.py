@@ -7,10 +7,12 @@ known in advance, including the ones that must fail or refuse to run.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import holospace.verify as verify
 from holospace.errors import (
     CertificationError,
     PreconditionError,
@@ -191,11 +193,15 @@ def test_bounded_trio_constant_symbol():
     r = check_bounded_trio(constant, truncs=(32, 64, 128))
     assert r.passed
     assert r.computed["norms"]["128"]["compose_then_diff"] == 0.0
-    from holospace.operators import build_composition, numerical_rank
+    from holospace.operators import (
+        build_composition,
+        rank_from_singular_values,
+        singular_values,
+    )
     from holospace.spaces import SpaceSpec
     comp = build_composition(constant, 64, domain=SpaceSpec.hardy(),
                              codomain=SpaceSpec.s2())
-    assert numerical_rank(comp, 1e-10) == 1
+    assert rank_from_singular_values(singular_values(comp), 1e-10) == 1
 
 
 def test_bounded_trio_fails_jointly_at_the_boundary():
@@ -287,3 +293,69 @@ def test_table_rendering():
     assert lines[0].startswith("check")
     assert len(lines) == len(reports) + 2
     assert all("pass" in ln or "FAIL" in ln for ln in lines[2:])
+
+
+# -- nan fails closed ---------------------------------------------------
+# Each check reduces its parts with a worst-case max.  The builtin max
+# keeps whichever of a nan and a number comes first, so where the order
+# is known each test puts the nan after a finite value.
+
+
+def _assert_fails_on_nan(report):
+    assert math.isnan(report.discrepancy)
+    assert not report.passed
+
+
+def test_spectrum_fails_on_nan_eigenvalue(monkeypatch):
+    monkeypatch.setattr(verify, "spectrum",
+                        lambda a: np.array([0.0, 0.6, np.nan]))
+    _assert_fails_on_nan(check_spectrum(MonomialMap(0.3, 2)))
+
+
+def test_s2tilde_fails_on_nan_kernel_action(monkeypatch):
+    monkeypatch.setattr(MoebiusMap, "log_eta_conj_at",
+                        lambda self, w: complex("nan"))
+    _assert_fails_on_nan(check_adjoint_s2tilde(M_FULL, 64))
+
+
+def test_s2_compact_fails_on_nan_drift(monkeypatch):
+    original = verify.singular_values
+
+    def nan_at_low_truncation(a):
+        s = original(a)
+        if a.trunc_degree == 64:
+            s[4] = np.nan
+        return s
+
+    monkeypatch.setattr(verify, "singular_values", nan_at_low_truncation)
+    _assert_fails_on_nan(check_adjoint_s2_compact(M_SHIFT, (32, 64, 128)))
+
+
+def test_bounded_trio_fails_on_nan_norm(monkeypatch):
+    original = verify.operator_norm
+
+    def nan_for_dc_phi(a):
+        return math.nan if a.label.startswith("compose-diff") else original(a)
+
+    monkeypatch.setattr(verify, "operator_norm", nan_for_dc_phi)
+    _assert_fails_on_nan(check_bounded_trio(M_HALF, (16, 32)))
+
+
+def test_kernels_fail_on_nan_inner_products():
+    # equiv:-300 weights square to inf, so every pairing is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_kernels(SpaceSpec.equivalent_weight(-300.0))
+    _assert_fails_on_nan(report)
+
+
+def test_factorization_fails_on_nan_series(monkeypatch):
+    original = verify.exp_series
+    calls = []
+
+    def nan_after_first(total):
+        calls.append(1)
+        out = original(total)
+        return out if len(calls) == 1 else out * math.nan
+
+    monkeypatch.setattr(verify, "exp_series", nan_after_first)
+    _assert_fails_on_nan(check_factorization(M_FULL, trials=3))
