@@ -33,6 +33,7 @@ from .verify import (
     default_suite,
     reports_to_json_lines,
     reports_to_table,
+    strict_json,
 )
 
 DEFAULT_TRUNC = 64
@@ -128,7 +129,7 @@ def cmd_norm(args) -> int:
         payload["nu"] = symbol.nu
         payload["norm_formula"] = symbol.norm_formula()
     if args.format == "json":
-        _emit(json.dumps(payload), args.out)
+        _emit(strict_json(payload), args.out)
     else:
         lines = [f"norm_svd = {_fmt(val)}"]
         if "norm_formula" in payload:
@@ -159,7 +160,7 @@ def cmd_spectrum(args) -> int:
         else [[complex(v).real, complex(v).imag] for v in reference],
     }
     if args.format == "json":
-        _emit(json.dumps(payload), args.out)
+        _emit(strict_json(payload), args.out)
     else:
         lines = ["spectrum = {" + ", ".join(_fmt_complex(v) for v in distinct) + "}"]
         if reference is not None:

@@ -23,6 +23,7 @@ blocks for that reason.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,13 @@ from .maps import MoebiusMap, PolynomialMap
 from .series import TruncatedSeries
 from .spaces import SpaceSpec
 
-#: largest truncation degree whose norm is read off the full SVD; above
+#: largest degree of a block whose norm is read off the full SVD; above
 #: it Lanczos computes sigma_1 alone (crossover sweep in CHANGES.md)
 FULL_SVD_MAX_DEGREE = 768
+
+#: relative Frobenius mass of the rows and columns that operator_norm
+#: drops before it takes sigma_1 (tail rule in its docstring)
+TAIL_TOL = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -228,33 +233,108 @@ def _weighted(a: OpMatrix) -> np.ndarray:
     return np.divide(w, bd[None, :], out=w)
 
 
+def _leading_block(a: OpMatrix, k: int) -> OpMatrix:
+    """The raw leading k x k block of a, over the same spaces.  It is a
+    view of a's read-only entries, not a copy: every SpaceSpec computes
+    its weights elementwise, so weights(k - 1) is a prefix of weights(n).
+    """
+    block = copy.copy(a)
+    object.__setattr__(block, "entries", a.entries[:k, :k])
+    return block
+
+
+def _line_nonzeros(x: np.ndarray):
+    """(rows, cols) of the nonzeros of x when every row and every column
+    holds at most one of them, else None."""
+    nz = x != 0
+    if np.count_nonzero(nz) > min(x.shape):
+        return None
+    rows, cols = np.divmod(np.flatnonzero(nz), x.shape[1])
+    if np.unique(rows).size < rows.size or np.unique(cols).size < cols.size:
+        return None
+    return rows, cols
+
+
 def singular_values(a: OpMatrix) -> np.ndarray:
-    """Singular values of the weighted matrix, nonincreasing."""
+    """Singular values of the weighted matrix W = B_cod A B_dom^(-1),
+    nonincreasing.
+
+    When every row and column of A has at most one nonzero, so has W:
+    W = P D Q for permutations P, Q and a diagonal D, and the singular
+    values are the moduli of the nonzeros of W, padded with zeros.  They
+    are read off those entries, with no N^2 copy and no decomposition.
+    Otherwise LAPACK computes the full profile.  A non-finite W raises
+    NumericalFailureError on both paths.
+    """
+    n = a.trunc_degree
+    info = {"label": a.label, "n": n}
+    lines = _line_nonzeros(a.entries)
+    if lines is not None:
+        rows, cols = lines
+        bd, bc = a.domain.weights(n), a.codomain.weights(n)
+        # the same complex arithmetic as _weighted, entry by entry
+        moduli = np.abs(a.entries[rows, cols] * bc[rows] / bd[cols])
+        # the zeros of W are 0 * bc / bd: finite when bc is finite, bd > 0
+        if not (np.isfinite(moduli).all() and np.isfinite(bc).all()
+                and (bd > 0).all()):
+            raise NumericalFailureError("weighted matrix is not finite", info)
+        s = np.zeros(n + 1)
+        s[: moduli.size] = np.sort(moduli)[::-1]
+        return s
+    w = _weighted(a)
+    if not np.isfinite(w).all():
+        raise NumericalFailureError("weighted matrix is not finite", info)
     try:
-        return np.linalg.svd(_weighted(a), compute_uv=False)
+        return np.linalg.svd(w, compute_uv=False)
     except np.linalg.LinAlgError as e:
         raise NumericalFailureError(
-            "SVD did not converge",
-            {"label": a.label, "n": a.trunc_degree, "reason": str(e)}) from e
+            "SVD did not converge", {**info, "reason": str(e)}) from e
 
 
 def operator_norm(a: OpMatrix) -> float:
-    """Largest singular value of the weighted matrix.
+    """Largest singular value sigma_1 of the weighted matrix W.
 
-    Up to FULL_SVD_MAX_DEGREE it is the head of the full SVD.  Above it,
-    ARPACK's Lanczos iteration (svds, k=1) computes sigma_1 alone, from a
-    fixed start vector so that repeated calls agree bit for bit.
+    Tail rule: c, the largest column 2-norm of W, is at most sigma_1.
+    The norm is sigma_1 of the smallest leading k x k block such that
+    the squared Frobenius mass of the rows >= k plus that of the columns
+    >= k is at most (TAIL_TOL c)^2.  By Weyl's inequality the dropped
+    rest moves sigma_1 by at most its Frobenius norm, TAIL_TOL sigma_1,
+    far below rounding.  Both tail sums are non-increasing in k.
+
+    The block goes to singular_values (exact for one nonzero per row and
+    column, else the full SVD).  Only a block of degree above
+    FULL_SVD_MAX_DEGREE without that structure goes to ARPACK's Lanczos
+    iteration (svds, k = 1) instead, from a fixed start vector so that
+    repeated calls agree bit for bit.  The crossover reads the block
+    size, not N.  The zero operator has norm exactly 0.0, and a
+    non-finite W raises NumericalFailureError.
     """
-    if a.trunc_degree <= FULL_SVD_MAX_DEGREE:
-        return float(singular_values(a)[0])
+    n = a.trunc_degree
+    info = {"label": a.label, "n": n}
+    # |W| scaled to max 1 and squared in place: one real N^2 array
+    m = np.abs(a.entries)
+    m *= a.codomain.weights(n)[:, None]
+    m /= a.domain.weights(n)[None, :]
+    top = m.max()
+    if not np.isfinite(top):
+        raise NumericalFailureError("weighted matrix is not finite", info)
+    if top == 0:
+        return 0.0
+    m /= top
+    m *= m
+    rows, cols = m.sum(axis=1), m.sum(axis=0)
+    del m
+    # tail[k]: mass of the rows >= k plus that of the columns >= k
+    tail = np.zeros(n + 2)
+    tail[:-1] = np.cumsum(rows[::-1] + cols[::-1])[::-1]
+    k = int(np.argmax(tail <= TAIL_TOL ** 2 * cols.max()))
+    block = a if k == n + 1 else _leading_block(a, k)
+    if (block.trunc_degree <= FULL_SVD_MAX_DEGREE
+            or _line_nonzeros(block.entries) is not None):
+        return float(singular_values(block)[0])
     from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-    w = _weighted(a)
-    info = {"label": a.label, "n": a.trunc_degree}
-    if not np.all(np.isfinite(w)):
-        raise NumericalFailureError("weighted matrix is not finite", info)
-    if not w.any():
-        return 0.0
+    w = _weighted(block)
     v0 = np.random.default_rng(0).standard_normal(w.shape[0])
     try:
         # rmatvec as conj(conj(x) w) spares svds an adjoint copy of w
@@ -264,7 +344,7 @@ def operator_norm(a: OpMatrix) -> float:
     except ArpackError as e:
         raise NumericalFailureError(
             "Lanczos iteration for sigma_1 did not converge",
-            {**info, "reason": str(e)}) from e
+            {**info, "k": k, "reason": str(e)}) from e
     return float(s[0])
 
 

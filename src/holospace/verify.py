@@ -19,6 +19,7 @@ decay, stable across truncation sizes), and their reports say so.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -85,7 +86,23 @@ class CheckReport:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict())
+        return strict_json(self.to_dict())
+
+
+def _finite_or_none(x):
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_none(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_none(v) for v in x]
+    return x
+
+
+def strict_json(payload) -> str:
+    """json.dumps with every NaN or infinite float written as null, so
+    that strict JSON parsers accept the output."""
+    return json.dumps(_finite_or_none(payload), allow_nan=False)
 
 
 def _finish(check_id, claim, computed, reference, discrepancy, tolerance,

@@ -291,6 +291,130 @@ def test_operator_norm_above_crossover_rejects_non_finite_weights():
 
 
 # ---------------------------------------------------------------------
+# The tail rule and the exact path for one nonzero per row and column
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+@pytest.mark.parametrize("r", [0.3, 0.95])
+def test_monomial_singular_values_are_exact(r, power):
+    m = MonomialMap(r * cmath.exp(0.7j), power)
+    for a in (build_D_phi(m, 96, domain=S2),
+              build_composition(m, 96, domain=HARDY, codomain=S2),
+              build_DC_phi(m, 96, domain=HARDY)):
+        want = np.linalg.svd(operators._weighted(a), compute_uv=False)
+        got = singular_values(a)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_one_per_line_non_finite_fails_closed(bad):
+    entries = np.diag(np.arange(1.0, 10.0))[[4, 0, 7, 2, 8, 1, 3, 6, 5]]
+    entries[2, 7] = bad
+    a = OpMatrix(entries, HARDY, HARDY, "permuted-diagonal")
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalFailureError):
+            singular_values(a)
+        with pytest.raises(NumericalFailureError):
+            operator_norm(a)
+
+
+@pytest.mark.parametrize("alpha", [-300.0, 300.0])
+def test_one_per_line_zeros_under_overflowing_weights_fail_closed(alpha):
+    # the nonzeros sit where the weights are finite and positive, but past
+    # degree ~115 equiv:-300 weights are inf and equiv:300 weights are 0,
+    # so the zeros of W there are 0 * inf or 0 / 0, as LAPACK would see
+    sp = SpaceSpec.equivalent_weight(alpha)
+    entries = np.zeros((201, 201))
+    entries[np.arange(60), np.arange(60)] = np.arange(1.0, 61.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        a = OpMatrix(entries, sp, sp, "short-diagonal")
+        with pytest.raises(NumericalFailureError):
+            singular_values(a)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_operator_norm_is_scale_invariant(scale):
+    # the squared entries would underflow or overflow without rescaling
+    for a in (build_DC_phi(_strict_moebius(0.45), 128, domain=HARDY),
+              build_D_phi(MonomialMap(0.9, 2), 128, domain=S2)):
+        want = scale * operator_norm(a)
+        scaled = OpMatrix(a.entries * scale, a.domain, a.codomain, a.label)
+        assert abs(operator_norm(scaled) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("where", ["row", "column"])
+def test_tail_rule_keeps_a_dominant_last_line(where):
+    n = 64
+    entries = np.diag(0.5 ** np.arange(n + 1))
+    if where == "row":
+        entries[n, 1] = 5.0
+    else:
+        entries[1, n] = 5.0
+    a = OpMatrix(entries, HARDY, HARDY, "geometric")
+    want = _svd_norm(a)
+    assert want > 5
+    assert abs(operator_norm(a) - want) <= 1e-13 * want
+
+
+def _count_singular_values(monkeypatch):
+    calls = []
+    original = operators.singular_values
+
+    def counted(a):
+        calls.append(a.trunc_degree)
+        return original(a)
+
+    monkeypatch.setattr(operators, "singular_values", counted)
+    return calls
+
+
+def test_dense_block_above_crossover_uses_lanczos(monkeypatch):
+    # banded Toeplitz in S2: no negligible tail, two nonzeros per line
+    a = build_multiplication(TruncatedSeries([1.0, -0.5, 0.3]), 800, domain=S2)
+    calls = _count_singular_values(monkeypatch)
+    got = operator_norm(a)
+    assert calls == []
+    want = _svd_norm(a)
+    assert abs(got - want) <= 1e-12 * want
+    assert operator_norm(a) == got
+
+
+def test_monomial_norm_at_large_n_goes_through_singular_values(monkeypatch):
+    m = MonomialMap(0.95, 3)
+    a = build_D_phi(m, 1024, domain=S2)
+    calls = _count_singular_values(monkeypatch)
+    got = operator_norm(a)
+    assert len(calls) == 1
+    assert abs(got - m.norm_formula()) <= 1e-13 * got
+
+
+def _mp_monomial_norm(r: float, power: int):
+    """max(1, max_n M n r^n) in 50 digits, by brute force over n; n r^n
+    decreases once n > 1/(1 - r)."""
+    with mpmath.workdps(50):
+        rr = mpmath.mpf(r)
+        last = int(4 / (1 - r)) + 8
+        return max([mpmath.mpf(1)]
+                   + [power * n * rr ** n for n in range(1, last)])
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_norm_formula_against_mpmath_at_the_nu_jumps(power):
+    # nu jumps at r = 1 - 1/q; 3^(-1/3) and 1/M (for M > 1) are where
+    # two terms tie
+    radii = [1 - 1 / q + d for q in range(2, 11) for d in (-1e-9, 1e-9)]
+    radii += [t + d for t in (3.0 ** (-1 / 3), 1 / power) if t < 1
+              for d in (-1e-9, 0.0, 1e-9)]
+    for r in radii:
+        m = MonomialMap(r, power)
+        got = operator_norm(build_D_phi(m, m.required_trunc_degree()))
+        want = _mp_monomial_norm(r, power)
+        assert abs(got - want) <= 1e-13 * want, (r, power)
+
+
+# ---------------------------------------------------------------------
 # Weighted adjoints
 # ---------------------------------------------------------------------
 

@@ -90,6 +90,14 @@ def test_weight_identities():
     np.testing.assert_allclose(s2t[2:] ** 2, n[2:] * (n[2:] - 1), rtol=1e-15)
 
 
+@pytest.mark.parametrize("sp", ALL_SPACES, ids=lambda s: s.spelling())
+def test_weights_are_prefixes(sp):
+    # operator_norm reads weights(k - 1) for a leading block of weights(n)
+    full = sp.weights(1024)
+    for k in (1, 2, 3, 59, 195, 1024):
+        assert np.array_equal(sp.weights(k - 1), full[:k])
+
+
 def test_weight_growth_is_subexponential():
     # liminf beta(n)^(1/n) = 1 shows up as beta(N)^(1/N) near 1 at desk N
     for sp in ALL_SPACES:
