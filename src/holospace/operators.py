@@ -23,7 +23,6 @@ blocks for that reason.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,9 @@ from .maps import MoebiusMap, PolynomialMap
 from .series import TruncatedSeries
 from .spaces import SpaceSpec
 
-#: largest degree of a block whose norm is read off the full SVD; above
-#: it Lanczos computes sigma_1 alone (crossover sweep in CHANGES.md)
+#: largest degree of a block whose norm is read off singular_values alone;
+#: above it a dense block first tries Lanczos for sigma_1 (crossover sweep
+#: in CHANGES.md)
 FULL_SVD_MAX_DEGREE = 768
 
 #: relative Frobenius mass of the rows and columns that operator_norm
@@ -50,7 +50,13 @@ TAIL_TOL = 2.0 ** -60
 
 @dataclass(frozen=True)
 class OpMatrix:
-    """(N+1)x(N+1) complex matrix tagged with domain and codomain spaces."""
+    """(N+1)x(N+1) complex matrix tagged with domain and codomain spaces.
+
+    The entries are read-only.  A read-only complex array is taken as it
+    is, not copied, so OpMatrix(b.entries[:k, :k], ...) shares b's
+    entries; whoever passes one must not change it afterwards.  Any other
+    input is copied.
+    """
 
     entries: np.ndarray
     domain: SpaceSpec
@@ -61,8 +67,9 @@ class OpMatrix:
         arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -233,16 +240,6 @@ def _weighted(a: OpMatrix) -> np.ndarray:
     return np.divide(w, bd[None, :], out=w)
 
 
-def _leading_block(a: OpMatrix, k: int) -> OpMatrix:
-    """The raw leading k x k block of a, over the same spaces.  It is a
-    view of a's read-only entries, not a copy: every SpaceSpec computes
-    its weights elementwise, so weights(k - 1) is a prefix of weights(n).
-    """
-    block = copy.copy(a)
-    object.__setattr__(block, "entries", a.entries[:k, :k])
-    return block
-
-
 def _line_nonzeros(x: np.ndarray):
     """(rows, cols) of the nonzeros of x when every row and every column
     holds at most one of them, else None."""
@@ -291,6 +288,25 @@ def singular_values(a: OpMatrix) -> np.ndarray:
             "SVD did not converge", {**info, "reason": str(e)}) from e
 
 
+def _lanczos_sigma_1(a: OpMatrix) -> float | None:
+    """sigma_1 of the weighted matrix by ARPACK's Lanczos iteration (svds,
+    k = 1) from a fixed start vector, so that repeated calls agree bit for
+    bit; None when ARPACK fails, above all when it has not converged
+    within three restarts."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, svds
+
+    w = _weighted(a)
+    v0 = np.random.default_rng(0).standard_normal(w.shape[0])
+    # rmatvec as conj(conj(x) w) spares svds an adjoint copy of w
+    op = LinearOperator(w.shape, matvec=w.dot, dtype=w.dtype,
+                        rmatvec=lambda x: (x.conj() @ w).conj())
+    try:
+        s = svds(op, k=1, v0=v0, maxiter=3, return_singular_vectors=False)
+    except ArpackError:
+        return None
+    return float(s[0])
+
+
 def operator_norm(a: OpMatrix) -> float:
     """Largest singular value sigma_1 of the weighted matrix W.
 
@@ -301,13 +317,15 @@ def operator_norm(a: OpMatrix) -> float:
     rest moves sigma_1 by at most its Frobenius norm, TAIL_TOL sigma_1,
     far below rounding.  Both tail sums are non-increasing in k.
 
-    The block goes to singular_values (exact for one nonzero per row and
-    column, else the full SVD).  Only a block of degree above
-    FULL_SVD_MAX_DEGREE without that structure goes to ARPACK's Lanczos
-    iteration (svds, k = 1) instead, from a fixed start vector so that
-    repeated calls agree bit for bit.  The crossover reads the block
-    size, not N.  The zero operator has norm exactly 0.0, and a
-    non-finite W raises NumericalFailureError.
+    The block goes to singular_values, which alone decides between its
+    exact path (one nonzero per row and column) and the full SVD.  A
+    block of degree above FULL_SVD_MAX_DEGREE with more nonzeros than
+    rows, which cannot take the exact path, first tries Lanczos for
+    sigma_1 alone; when that has not converged within three restarts
+    (clustered top singular values, as for a Toeplitz matrix over the
+    Hardy space) the block goes to singular_values as well.  The
+    crossover reads the block size, not N.  The zero operator has norm
+    exactly 0.0, and a non-finite W raises NumericalFailureError.
     """
     n = a.trunc_degree
     info = {"label": a.label, "n": n}
@@ -328,24 +346,15 @@ def operator_norm(a: OpMatrix) -> float:
     tail = np.zeros(n + 2)
     tail[:-1] = np.cumsum(rows[::-1] + cols[::-1])[::-1]
     k = int(np.argmax(tail <= TAIL_TOL ** 2 * cols.max()))
-    block = a if k == n + 1 else _leading_block(a, k)
-    if (block.trunc_degree <= FULL_SVD_MAX_DEGREE
-            or _line_nonzeros(block.entries) is not None):
-        return float(singular_values(block)[0])
-    from scipy.sparse.linalg import ArpackError, LinearOperator, svds
-
-    w = _weighted(block)
-    v0 = np.random.default_rng(0).standard_normal(w.shape[0])
-    try:
-        # rmatvec as conj(conj(x) w) spares svds an adjoint copy of w
-        op = LinearOperator(w.shape, matvec=w.dot, dtype=w.dtype,
-                            rmatvec=lambda x: (x.conj() @ w).conj())
-        s = svds(op, k=1, v0=v0, return_singular_vectors=False)
-    except ArpackError as e:
-        raise NumericalFailureError(
-            "Lanczos iteration for sigma_1 did not converge",
-            {**info, "k": k, "reason": str(e)}) from e
-    return float(s[0])
+    # every SpaceSpec computes its weights elementwise, so the raw leading
+    # block over the same spaces is the leading block of W; it is a view
+    block = OpMatrix(a.entries[:k, :k], a.domain, a.codomain, a.label)
+    if (block.trunc_degree > FULL_SVD_MAX_DEGREE
+            and np.count_nonzero(block.entries) > k):
+        s1 = _lanczos_sigma_1(block)
+        if s1 is not None:
+            return s1
+    return float(singular_values(block)[0])
 
 
 def spectrum(a: OpMatrix) -> np.ndarray:

@@ -370,9 +370,19 @@ def _count_singular_values(monkeypatch):
     return calls
 
 
-def test_dense_block_above_crossover_uses_lanczos(monkeypatch):
-    # banded Toeplitz in S2: no negligible tail, two nonzeros per line
-    a = build_multiplication(TruncatedSeries([1.0, -0.5, 0.3]), 800, domain=S2)
+def _dense_block(kind: str) -> OpMatrix:
+    if kind == "toeplitz-s2":
+        # banded Toeplitz in S2: no negligible tail, two nonzeros per line
+        return build_multiplication(TruncatedSeries([1.0, -0.5, 0.3]), 800,
+                                    domain=S2)
+    # a pole near the circle leaves the Moebius table without a tail
+    return build_DC_phi(_strict_moebius(0.99), FULL_SVD_MAX_DEGREE + 1,
+                        domain=HARDY)
+
+
+@pytest.mark.parametrize("kind", ["toeplitz-s2", "moebius-pole-0.99"])
+def test_dense_block_above_crossover_uses_lanczos(monkeypatch, kind):
+    a = _dense_block(kind)
     calls = _count_singular_values(monkeypatch)
     got = operator_norm(a)
     assert calls == []
@@ -381,10 +391,24 @@ def test_dense_block_above_crossover_uses_lanczos(monkeypatch):
     assert operator_norm(a) == got
 
 
+def test_clustered_dense_block_falls_back_to_full_svd(monkeypatch):
+    # over the Hardy space the top singular values of a Toeplitz matrix
+    # cluster near sup |psi|, so Lanczos stops after three restarts
+    a = build_multiplication(TruncatedSeries([1.0, -0.5, 0.3]),
+                             FULL_SVD_MAX_DEGREE + 1, domain=HARDY)
+    calls = _count_singular_values(monkeypatch)
+    got = operator_norm(a)
+    assert calls == [FULL_SVD_MAX_DEGREE + 1]
+    want = _svd_norm(a)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_monomial_norm_at_large_n_goes_through_singular_values(monkeypatch):
     m = MonomialMap(0.95, 3)
     a = build_D_phi(m, 1024, domain=S2)
     calls = _count_singular_values(monkeypatch)
+    # one nonzero per line: the exact path, without a Lanczos attempt
+    monkeypatch.setattr(operators, "_lanczos_sigma_1", None)
     got = operator_norm(a)
     assert len(calls) == 1
     assert abs(got - m.norm_formula()) <= 1e-13 * got
@@ -584,3 +608,14 @@ def test_entries_read_only():
     a = build_differentiation(4)
     with pytest.raises(ValueError):
         a.entries[0, 0] = 3
+
+
+def test_read_only_entries_are_shared_and_writeable_ones_copied():
+    a = build_differentiation(6)
+    block = OpMatrix(a.entries[:3, :3], a.domain, a.codomain, a.label)
+    assert np.shares_memory(block.entries, a.entries)
+    raw = np.eye(4)
+    b = OpMatrix(raw, S2, S2, "eye")
+    raw[0, 0] = 5
+    assert b.entries[0, 0] == 1
+    assert not b.entries.flags.writeable
